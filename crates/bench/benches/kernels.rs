@@ -3,7 +3,7 @@
 //! dense vs sparse per-treatment estimates), bitset popcount kernels, the
 //! numeric-mode reduction kernels (serial fold vs fixed-lane, regather vs
 //! downdate), the treatment lattice, and the simplex/rounding selection
-//! step.
+//! step (a small 60 × 40 instance, and the LP alone at `synth-wide` shape).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -334,6 +334,35 @@ fn bench_selection(c: &mut Criterion) {
             let g = solve_lp_relaxation(&inst).unwrap();
             randomized_rounding(&inst, &g, 64, 7).unwrap().total_weight
         })
+    });
+
+    // The `synth-wide` view shape: 14 candidates over 500 groups, their
+    // covers the 2 halves, 4 quarters and 8 eighths of the groups (a
+    // 1016 × 1531 tableau), weights in a narrow band.
+    let m = 500;
+    let covers: Vec<BitSet> = [2, 4, 8]
+        .iter()
+        .flat_map(|&parts| {
+            (0..parts).map(move |p| {
+                let mut b = BitSet::new(m);
+                for g in p * m / parts..(p + 1) * m / parts {
+                    b.insert(g);
+                }
+                b
+            })
+        })
+        .collect();
+    let inst = CoverInstance {
+        weights: (0..covers.len())
+            .map(|j| 11.0 + 0.02 * ((j * 7) % 13) as f64)
+            .collect(),
+        covers,
+        m,
+        k: 5,
+        theta: 0.75,
+    };
+    c.bench_function("lp_relax_14x500", |b| {
+        b.iter(|| solve_lp_relaxation(&inst).unwrap().len())
     });
 }
 

@@ -1133,9 +1133,10 @@ pub fn select_candidates(
     let solution: Option<CoverSolution> = match method {
         SelectionMethod::LpRounding => solve_lp_relaxation(&inst)
             .and_then(|g| randomized_rounding(&inst, &g, config.rounding_rounds, config.seed))
-            // LP infeasible ⇒ ILP infeasible; fall back to the best
-            // effort greedy so users still get output (flagged
-            // infeasible).
+            // No LP optimum: the relaxation is infeasible (then so is
+            // the ILP), unbounded, or cut at the pivot limit. Fall back
+            // to the best-effort greedy so users still get output; its
+            // `feasible` flag says whether it meets the coverage.
             .or_else(|| greedy_cover(&inst)),
         SelectionMethod::Greedy => greedy_cover(&inst),
         SelectionMethod::Exhaustive => exhaustive_best(&inst).or_else(|| greedy_cover(&inst)),

@@ -81,15 +81,29 @@ pub struct CoverSolution {
     pub feasible: bool,
 }
 
-/// Build and solve the LP relaxation. Returns the fractional `g` vector, or
-/// `None` when even the relaxation is infeasible (then the ILP certainly
-/// is — Appendix A, claim 1).
+/// Build and solve the LP relaxation. Returns the fractional `g` vector
+/// when the simplex reaches [`LpStatus::Optimal`], and `None` otherwise:
+/// when there are no candidates, when the relaxation is infeasible (then
+/// the ILP certainly is — Appendix A, claim 1), and also when the simplex
+/// stops at [`LpStatus::IterationLimit`] or reports
+/// [`LpStatus::Unbounded`]. Those two say nothing about the ILP, so `None`
+/// alone does not prove it infeasible.
 pub fn solve_lp_relaxation(inst: &CoverInstance) -> Option<Vec<f64>> {
-    let l = inst.len();
-    let m = inst.m;
-    if l == 0 {
+    if inst.is_empty() {
         return None;
     }
+    let s = solve(&relaxation_problem(inst));
+    match s.status {
+        LpStatus::Optimal => Some(s.x[..inst.len()].to_vec()),
+        _ => None,
+    }
+}
+
+/// The Fig. 5 relaxation over `l + m` variables: `g_j` at `0..l`, `t_i` at
+/// `l + i`.
+pub(crate) fn relaxation_problem(inst: &CoverInstance) -> LpProblem {
+    let l = inst.len();
+    let m = inst.m;
     let mut p = LpProblem::new(l + m);
     for (j, &w) in inst.weights.iter().enumerate() {
         p.objective[j] = w;
@@ -120,12 +134,7 @@ pub fn solve_lp_relaxation(inst: &CoverInstance) -> Option<Vec<f64>> {
     for v in 0..l + m {
         p.with_upper_bound(v, 1.0);
     }
-
-    let s = solve(&p);
-    match s.status {
-        LpStatus::Optimal => Some(s.x[..l].to_vec()),
-        _ => None,
-    }
+    p
 }
 
 /// Appendix-A randomized rounding: draw `k` patterns i.i.d. with
@@ -155,8 +164,7 @@ pub fn randomized_rounding(
     let mut best: Option<CoverSolution> = None;
 
     // Weight-sorted indices for the fill-up step.
-    let mut by_weight: Vec<usize> = (0..l).collect();
-    by_weight.sort_by(|&a, &b| inst.weights[b].partial_cmp(&inst.weights[a]).unwrap());
+    let by_weight = by_descending_weight(&inst.weights);
 
     for _ in 0..rounds.max(1) {
         let mut chosen: Vec<usize> = Vec::new();
@@ -203,6 +211,16 @@ pub fn randomized_rounding(
         }
     }
     best
+}
+
+/// Candidate indices by descending weight, equal weights in index order.
+/// Adding `0.0` folds `−0` into `+0`, so `total_cmp` orders finite weights
+/// exactly as `partial_cmp` does, and a NaN weight sorts instead of
+/// panicking.
+fn by_descending_weight(weights: &[f64]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..weights.len()).collect();
+    order.sort_by(|&a, &b| (weights[b] + 0.0).total_cmp(&(weights[a] + 0.0)));
+    order
 }
 
 /// The `Greedy-Last-Step` baseline (§6.1): iteratively pick the pattern
@@ -258,8 +276,7 @@ pub fn exhaustive_best(inst: &CoverInstance) -> Option<CoverSolution> {
         return None;
     }
     let need = inst.required_coverage();
-    let mut order: Vec<usize> = (0..l).collect();
-    order.sort_by(|&a, &b| inst.weights[b].partial_cmp(&inst.weights[a]).unwrap());
+    let order = by_descending_weight(&inst.weights);
 
     // Suffix sums of the top-k weights for bounding.
     let sorted_weights: Vec<f64> = order.iter().map(|&j| inst.weights[j]).collect();
@@ -349,10 +366,10 @@ pub fn exhaustive_best(inst: &CoverInstance) -> Option<CoverSolution> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn bits(m: usize, idx: &[usize]) -> BitSet {
+    pub(crate) fn bits(m: usize, idx: &[usize]) -> BitSet {
         let mut b = BitSet::new(m);
         for &i in idx {
             b.insert(i);
@@ -362,7 +379,7 @@ mod tests {
 
     /// 4 patterns over 4 groups. Weights favor 0 and 1, but covering all
     /// groups with k=2 requires {2, 3} or {0, 3}.
-    fn inst() -> CoverInstance {
+    pub(crate) fn inst() -> CoverInstance {
         CoverInstance {
             weights: vec![10.0, 9.0, 3.0, 2.0],
             covers: vec![
@@ -404,17 +421,21 @@ mod tests {
         assert!(g[3] > 0.99, "g = {g:?}");
     }
 
-    #[test]
-    fn lp_infeasible_when_ilp_infeasible_by_structure() {
-        // Group 3 uncovered by every pattern ⇒ even the LP fails θ=1.
-        let i = CoverInstance {
+    /// Group 3 is uncovered by every pattern.
+    pub(crate) fn uncovered_group() -> CoverInstance {
+        CoverInstance {
             weights: vec![1.0, 1.0],
             covers: vec![bits(4, &[0, 1]), bits(4, &[1, 2])],
             m: 4,
             k: 2,
             theta: 1.0,
-        };
-        assert!(solve_lp_relaxation(&i).is_none());
+        }
+    }
+
+    #[test]
+    fn lp_infeasible_when_ilp_infeasible_by_structure() {
+        // Group 3 uncovered ⇒ even the LP fails θ=1.
+        assert!(solve_lp_relaxation(&uncovered_group()).is_none());
     }
 
     #[test]
@@ -462,6 +483,20 @@ mod tests {
         let s = exhaustive_best(&i).unwrap();
         // Free to maximize weight: {0, 1}.
         assert_eq!(s.chosen, vec![0, 1]);
+    }
+
+    #[test]
+    fn weight_order_is_descending_stable_and_total() {
+        // ±0 tie keeps index order, as `partial_cmp` would.
+        assert_eq!(
+            by_descending_weight(&[0.0, 3.0, -0.0, 1.0, 3.0]),
+            vec![1, 4, 3, 0, 2]
+        );
+        // A NaN weight sorts (above +∞) instead of panicking.
+        assert_eq!(
+            by_descending_weight(&[1.0, f64::NAN, f64::INFINITY]),
+            vec![1, 2, 0]
+        );
     }
 
     #[test]

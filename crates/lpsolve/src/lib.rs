@@ -8,14 +8,17 @@
 //!
 //! This crate provides the full stack, dependency-free:
 //!
-//! * [`simplex`] — a dense two-phase primal simplex solver with Bland's
-//!   rule (exact for the small LPs this pipeline produces),
+//! * [`simplex`] — a two-phase primal simplex solver with Bland's rule,
+//!   on a dense tableau whose pivots touch only nonzeros,
 //! * [`cover`] — the Fig. 5 LP/ILP: relaxation construction, randomized
 //!   rounding (Appendix A), the `Greedy-Last-Step` alternative, and an
 //!   exact branch-and-bound selector used by the `Brute-Force` baseline.
 
 pub mod cover;
 pub mod simplex;
+
+#[cfg(test)]
+mod pin;
 
 pub use cover::{
     exhaustive_best, greedy_cover, randomized_rounding, solve_lp_relaxation, CoverInstance,

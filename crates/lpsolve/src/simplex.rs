@@ -1,12 +1,25 @@
-//! Dense two-phase primal simplex.
+//! Two-phase primal simplex on a dense tableau with sparse bookkeeping.
 //!
 //! Solves `maximize cᵀx  s.t.  Ax {≤,=,≥} b, 0 ≤ x` (upper bounds are
 //! added as explicit rows by the caller or via
 //! [`LpProblem::with_upper_bound`]). Phase 1 drives artificial variables
 //! out with the auxiliary objective; phase 2 optimizes the true objective.
-//! Bland's anti-cycling rule keeps termination guaranteed; reduced costs
-//! are recomputed per iteration, which is plenty fast for the
-//! hundreds-of-variables LPs the CauSumX pipeline produces.
+//! Bland's rule prevents cycling, and the solver stops after `MAX_ITER`
+//! (50 000) pivots.
+//!
+//! The tableau is stored dense, but the work per pivot follows its
+//! nonzeros: reduced costs are priced only over the basic rows with a
+//! nonzero cost, a basis flag replaces the scan of the basis, and a pivot
+//! carries only the pivot row's nonzero columns into the other rows. Every
+//! float operation that reaches a nonzero entry, `b` or a comparison is
+//! the one a full dense sweep would make, in the same order, so the pivot
+//! sequence and the returned bits are those of the plain dense method.
+//!
+//! The cost is still one pivot per basis change, and Bland's rule can need
+//! many of them on degenerate LPs: a Fig. 5 relaxation of a `synth-wide`
+//! view (14 candidates, 500 groups, a 1016 × 1531 tableau) takes several
+//! hundred pivots, and random cover instances with 80–120 groups can run
+//! into the pivot limit.
 
 /// Relational operator of a constraint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,8 +87,10 @@ pub enum LpStatus {
     Infeasible,
     /// The objective is unbounded above.
     Unbounded,
-    /// Iteration limit hit (should not occur with Bland's rule; kept as a
-    /// defensive signal).
+    /// The pivot limit (`MAX_ITER`, 50 000) was hit before an optimum.
+    /// Bland's rule rules out cycling, not long runs of degenerate pivots:
+    /// random cover instances with 80–120 groups reach it. `x` is then
+    /// the last basic solution, or all zeros when phase 1 was cut.
     IterationLimit,
 }
 
@@ -98,31 +113,19 @@ pub fn solve(problem: &LpProblem) -> LpSolution {
     let n = problem.num_vars();
     let m = problem.constraints.len();
 
-    // Normalize: rhs ≥ 0.
-    let mut rows: Vec<(Vec<f64>, ConstraintOp, f64)> = Vec::with_capacity(m);
-    for c in &problem.constraints {
-        let mut dense = vec![0.0; n];
-        for &(j, v) in &c.terms {
-            dense[j] += v;
-        }
-        let (dense, op, rhs) = if c.rhs < 0.0 {
-            let flipped = match c.op {
-                ConstraintOp::Le => ConstraintOp::Ge,
-                ConstraintOp::Ge => ConstraintOp::Le,
-                ConstraintOp::Eq => ConstraintOp::Eq,
-            };
-            (dense.iter().map(|v| -v).collect(), flipped, -c.rhs)
-        } else {
-            (dense, c.op, c.rhs)
-        };
-        rows.push((dense, op, rhs));
-    }
+    // Normalize to rhs ≥ 0: a row with a negative rhs is negated, which
+    // flips its inequality.
+    let op_of = |c: &Constraint| match (c.rhs < 0.0, c.op) {
+        (true, ConstraintOp::Le) => ConstraintOp::Ge,
+        (true, ConstraintOp::Ge) => ConstraintOp::Le,
+        (_, op) => op,
+    };
 
     // Column layout: [structural | slacks/surplus | artificials].
     let mut n_slack = 0;
     let mut n_artificial = 0;
-    for (_, op, _) in &rows {
-        match op {
+    for c in &problem.constraints {
+        match op_of(c) {
             ConstraintOp::Le => n_slack += 1,
             ConstraintOp::Ge => {
                 n_slack += 1;
@@ -134,29 +137,42 @@ pub fn solve(problem: &LpProblem) -> LpSolution {
     let total = n + n_slack + n_artificial;
     let art_start = n + n_slack;
 
+    // Fill each row straight from its sparse terms: accumulate in term
+    // order, then negate the structural part of a flipped row.
     let mut a = vec![vec![0.0; total]; m];
     let mut b = vec![0.0; m];
     let mut basis = vec![0usize; m];
     let mut si = 0;
     let mut ai = 0;
-    for (i, (dense, op, rhs)) in rows.iter().enumerate() {
-        a[i][..n].copy_from_slice(dense);
-        b[i] = *rhs;
-        match op {
+    for (i, c) in problem.constraints.iter().enumerate() {
+        let structural = &mut a[i][..n];
+        for &(j, v) in &c.terms {
+            structural[j] += v;
+        }
+        if c.rhs < 0.0 {
+            for v in structural.iter_mut() {
+                *v = -*v;
+            }
+            b[i] = -c.rhs;
+        } else {
+            b[i] = c.rhs;
+        }
+        let row = &mut a[i];
+        match op_of(c) {
             ConstraintOp::Le => {
-                a[i][n + si] = 1.0;
+                row[n + si] = 1.0;
                 basis[i] = n + si;
                 si += 1;
             }
             ConstraintOp::Ge => {
-                a[i][n + si] = -1.0;
+                row[n + si] = -1.0;
                 si += 1;
-                a[i][art_start + ai] = 1.0;
+                row[art_start + ai] = 1.0;
                 basis[i] = art_start + ai;
                 ai += 1;
             }
             ConstraintOp::Eq => {
-                a[i][art_start + ai] = 1.0;
+                row[art_start + ai] = 1.0;
                 basis[i] = art_start + ai;
                 ai += 1;
             }
@@ -257,19 +273,33 @@ fn run_simplex(
     ncols: usize,
 ) -> SimplexOutcome {
     let m = a.len();
+    let mut is_basic = vec![false; ncols];
+    for &j in basis.iter() {
+        if j < ncols {
+            is_basic[j] = true;
+        }
+    }
+    // Basic rows with a nonzero cost, ascending: the only rows that enter
+    // a reduced cost.
+    let mut priced: Vec<(usize, f64)> = Vec::with_capacity(m);
     for _ in 0..MAX_ITER {
         // Reduced costs r_j = c_j − c_B · A_j.
-        let cb: Vec<f64> = basis.iter().map(|&j| c[j]).collect();
+        priced.clear();
+        priced.extend(
+            basis
+                .iter()
+                .enumerate()
+                .map(|(i, &j)| (i, c[j]))
+                .filter(|&(_, cb)| cb != 0.0),
+        );
         let mut entering = None;
         for j in 0..ncols {
-            if basis.contains(&j) {
+            if is_basic[j] {
                 continue;
             }
             let mut r = c[j];
-            for i in 0..m {
-                if cb[i] != 0.0 {
-                    r -= cb[i] * a[i][j];
-                }
+            for &(i, cb) in &priced {
+                r -= cb * a[i][j];
             }
             if r > EPS {
                 entering = Some(j); // Bland: first improving index.
@@ -297,42 +327,52 @@ fn run_simplex(
         let Some(leave) = leave else {
             return SimplexOutcome::Unbounded;
         };
+        if basis[leave] < ncols {
+            is_basic[basis[leave]] = false;
+        }
+        is_basic[enter] = true;
         pivot(a, b, basis, leave, enter);
     }
     SimplexOutcome::IterationLimit
 }
 
+/// Pivot on `(row, col)`. Only the pivot row's nonzeros are carried into
+/// the other rows: an entry it skips would change by `f · ±0`, which can
+/// at most flip the sign of an entry that is already zero.
 fn pivot(a: &mut [Vec<f64>], b: &mut [f64], basis: &mut [usize], row: usize, col: usize) {
-    let m = a.len();
-    let total = a[0].len();
     let p = a[row][col];
     debug_assert!(p.abs() > EPS);
-    for j in 0..total {
-        a[row][j] /= p;
+    let mut nonzeros: Vec<(usize, f64)> = Vec::new();
+    for (j, v) in a[row].iter_mut().enumerate() {
+        *v /= p;
+        if *v != 0.0 {
+            nonzeros.push((j, *v));
+        }
     }
     b[row] /= p;
-    for i in 0..m {
+    let b_row = b[row];
+    for (i, (a_i, b_i)) in a.iter_mut().zip(b.iter_mut()).enumerate() {
         if i == row {
             continue;
         }
-        let f = a[i][col];
+        let f = a_i[col];
         if f.abs() < EPS {
             continue;
         }
-        for j in 0..total {
-            a[i][j] -= f * a[row][j];
+        for &(j, v) in &nonzeros {
+            a_i[j] -= f * v;
         }
-        b[i] -= f * b[row];
+        *b_i -= f * b_row;
         // Clean tiny negatives from roundoff.
-        if b[i] < 0.0 && b[i] > -1e-10 {
-            b[i] = 0.0;
+        if *b_i < 0.0 && *b_i > -1e-10 {
+            *b_i = 0.0;
         }
     }
     basis[row] = col;
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn approx(a: f64, b: f64, eps: f64) -> bool {
@@ -433,12 +473,9 @@ mod tests {
         assert!(approx(s.objective, 0.05, 1e-6));
     }
 
-    #[test]
-    fn fig5_shape_lp_relaxation_fractional() {
-        // Tiny Fig.-5-shaped LP: 2 patterns, 3 groups, k=1, θ=1 — the ILP
-        // is infeasible but the LP relaxation has fractional solutions
-        // covering all groups with g summing to 1.
-        // pattern 0 covers groups {0,1}, pattern 1 covers {1,2}.
+    /// Tiny Fig.-5-shaped LP: 2 patterns, 3 groups, k=1, θ=1. Pattern 0
+    /// covers groups {0,1}, pattern 1 covers {1,2}.
+    pub(crate) fn fig5_two_by_three() -> LpProblem {
         let l = 2;
         let m = 3;
         let mut p = LpProblem::new(l + m);
@@ -452,9 +489,13 @@ mod tests {
         for v in 0..l + m {
             p.with_upper_bound(v, 1.0);
         }
-        let s = solve(&p);
-        // LP infeasible too: t_0 ≤ g_0, t_2 ≤ g_1, t_0 = t_2 = 1 needs
-        // g_0 = g_1 = 1 but Σg ≤ 1.
-        assert_eq!(s.status, LpStatus::Infeasible);
+        p
+    }
+
+    #[test]
+    fn fig5_shape_lp_relaxation_fractional() {
+        // The ILP is infeasible. The LP is too: t_0 ≤ g_0, t_2 ≤ g_1,
+        // t_0 = t_2 = 1 needs g_0 = g_1 = 1 but Σg ≤ 1.
+        assert_eq!(solve(&fig5_two_by_three()).status, LpStatus::Infeasible);
     }
 }

@@ -170,6 +170,37 @@ proptest! {
             prop_assert!(exhaustive_best(&inst).is_none());
         }
     }
+
+    #[test]
+    fn lp_relaxation_bounds_the_ilp_and_admits_coverage(inst in arb_cover()) {
+        let Some(g) = solve_lp_relaxation(&inst) else {
+            return Ok(());
+        };
+        // The relaxation contains every ILP solution, so its optimum is an
+        // upper bound on the exact one.
+        if let Some(best) = exhaustive_best(&inst) {
+            let lp_weight: f64 = g.iter().zip(&inst.weights).map(|(g, w)| g * w).sum();
+            prop_assert!(
+                lp_weight >= best.total_weight - 1e-9,
+                "LP {} below ILP {}", lp_weight, best.total_weight
+            );
+        }
+        // `g` alone admits the coverage: with t_i = min(1, Σ_{j∋i} g_j),
+        // Σ t_i reaches θ·m.
+        let fractional_coverage: f64 = (0..inst.m)
+            .map(|i| {
+                let reach: f64 = (0..inst.len())
+                    .filter(|&j| inst.covers[j].contains(i))
+                    .map(|j| g[j])
+                    .sum();
+                reach.min(1.0)
+            })
+            .sum();
+        prop_assert!(
+            fractional_coverage >= inst.theta * inst.m as f64 - 1e-6,
+            "g covers {} < θ·m = {}", fractional_coverage, inst.theta * inst.m as f64
+        );
+    }
 }
 
 // ---------- Simplex sanity on random bounded LPs ----------
